@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -40,8 +41,16 @@ def write_container(path, meta: dict, arrays: dict) -> None:
                         separators=(",", ":")).encode("utf-8")
     body = len(header).to_bytes(8, "little") + header + b"".join(blobs)
     digest = hashlib.sha256(body).digest()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + digest + body)
+    # renamed over ``path`` only once complete: an interrupted write leaves
+    # the previous file as it was
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + digest + body)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def read_container(path):

@@ -707,7 +707,7 @@ def cmd_sweep(args) -> int:
             run = train(model, dataset, train_config_from(cfg))
             if run.diverged:
                 status = "diverged"
-        except (ConfigError, ValueError, FloatingPointError) as exc:
+        except (ConfigError, ValueError, FloatingPointError, OverflowError) as exc:
             status = "error"
             print(f"{args.param}={value:g}: {exc}", file=sys.stderr)
         if run is not None:

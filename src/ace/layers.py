@@ -35,7 +35,7 @@ from .groups import (
     Sn,
     TrivialRep,
 )
-from .tensor import ShapeError, Tensor, conv2d, matmul, reshape, rot90, stack, take
+from .tensor import ShapeError, Tensor, conv2d, matmul, reshape, roll, rot90, stack
 
 __all__ = [
     "EquivariantLayer",
@@ -110,6 +110,7 @@ class C4LiftingConv(EquivariantLayer):
 
     Output block r holds the correlation with the kernel rotated by r, so
     rotating the input permutes and rotates the blocks: the regular action.
+    Runs as one conv over the (4*C', C, k, k) bank of the rotated copies.
     """
 
     kind = "c4_lifting_conv"
@@ -124,8 +125,10 @@ class C4LiftingConv(EquivariantLayer):
         self.out_rep = RegularRep(c_out, image_size, image_size)
 
     def forward(self, z, batched):
-        parts = [conv2d(z, rot90(self.kernels, r)) for r in range(4)]
-        return stack(parts, axis=1 if batched else 0)
+        c_out, c_in, k, _ = self.kernels.shape
+        bank = stack([rot90(self.kernels, r) for r in range(4)])
+        out = conv2d(z, reshape(bank, (4 * c_out, c_in, k, k)))
+        return reshape(out, out.shape[:-3] + (4, c_out) + out.shape[-2:])
 
     def weight_tensors(self):
         return [("kernels", self.kernels)]
@@ -141,7 +144,10 @@ class C4GroupConv(EquivariantLayer):
     Output block r sums, over input blocks s, the correlation of block s
     with the kernel slice (s - r) mod 4 rotated by r. With ``pool=True``
     the group axis is averaged away, leaving a (C', H, W) map that
-    transforms by plain spatial rotation.
+    transforms by plain spatial rotation. The sixteen block correlations
+    run as one conv over the p4 filter bank (Cohen & Welling 2016): row r
+    is the kernel rolled by r along its group axis and rotated by r, and
+    the rows stack to (4*C', 4*C, k, k) against 4*C merged input channels.
     """
 
     kind = "c4_group_conv"
@@ -160,19 +166,14 @@ class C4GroupConv(EquivariantLayer):
             self.out_rep = RegularRep(c_out, image_size, image_size)
 
     def forward(self, z, batched):
-        group_axis = 1 if batched else 0
-        blocks_in = [take(z, s, axis=group_axis) for s in range(4)]
-        blocks_out = []
-        for r in range(4):
-            acc = None
-            for s in range(4):
-                kern = rot90(take(self.kernels, (s - r) % 4, axis=1), r)
-                term = conv2d(blocks_in[s], kern)
-                acc = term if acc is None else acc + term
-            blocks_out.append(acc)
-        out = stack(blocks_out, axis=group_axis)
+        c_out, _, c_in, k, _ = self.kernels.shape
+        bank = stack([rot90(roll(self.kernels, r, axis=1), r) for r in range(4)])
+        lead = z.shape[:-4]
+        out = conv2d(reshape(z, lead + (4 * c_in,) + z.shape[-2:]),
+                     reshape(bank, (4 * c_out, 4 * c_in, k, k)))
+        out = reshape(out, lead + (4, c_out) + out.shape[-2:])
         if self.pool:
-            out = out.mean(axes=group_axis)
+            out = out.mean(axes=len(lead))
         return out
 
     def weight_tensors(self):

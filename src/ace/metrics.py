@@ -152,6 +152,21 @@ def equivariance_error(model: HomotopicModel, x: Tensor, group: Group = None,
 # ---------------------------------------------------------------- closed forms
 
 
+def _power(base, exp) -> float:
+    """``base ** exp`` in float64: inf on overflow instead of OverflowError."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(base) ** exp)
+
+
+def _product(*factors) -> float:
+    """Product of non-negative factors, inf on overflow; an exact zero
+    factor gives 0 even beside an overflowed one (not 0 * inf = NaN)."""
+    if any(f == 0.0 for f in factors):
+        return 0.0
+    with np.errstate(over="ignore"):
+        return float(np.prod(np.asarray(factors, dtype=np.float64)))
+
+
 def thm1_bounds(model: HomotopicModel, x_norm: float, method: str = "fast"):
     """Coarse and refined certificates for ||f(x) - f_0(x)||.
 
@@ -161,17 +176,17 @@ def thm1_bounds(model: HomotopicModel, x_norm: float, method: str = "fast"):
     meq, b, gammas, m, b1, _ = _folded(model, method)
     big_l = len(gammas)
     gbar = float(np.max(gammas))
-    scale = b1 * m ** (big_l - 1) * x_norm
+    scale = (b1, _power(m, big_l - 1), x_norm)
 
-    coarse = sum((1.0 + gbar) ** k for k in range(big_l)) * gbar * scale
+    coarse = _product(sum(_power(1.0 + gbar, k) for k in range(big_l)), gbar, *scale)
 
     refined_sum = 0.0
     for k in range(big_l):
         if k == 0:
             refined_sum += gammas[0]
         else:
-            refined_sum += gammas[k] * (1.0 + np.sum(gammas[:k]) / k) ** k
-    refined = refined_sum * scale
+            refined_sum += _product(gammas[k], _power(1.0 + np.sum(gammas[:k]) / k, k))
+    refined = _product(refined_sum, *scale)
 
     constants = {"M": m, "B": b1, "gamma_bar": gbar, "L": big_l, "x_norm": x_norm,
                  "M_layers": meq, "B_layers": b}
@@ -201,11 +216,12 @@ def thm2_bounds(model: HomotopicModel, x_norm: float, method: str = "fast"):
         if big_l == 1:
             growth = 1.0
         else:
-            growth = (1.0 + c * others / (big_l - 1)) ** (big_l - 1)
-        refined_sum += gammas[k] * growth
-    refined = 2.0 * refined_sum * b2**2 * m ** (big_l - 1) * x_norm
+            growth = _power(1.0 + c * others / (big_l - 1), big_l - 1)
+        refined_sum += _product(gammas[k], growth)
+    refined = _product(2.0, refined_sum, _power(b2, 2), _power(m, big_l - 1), x_norm)
 
-    coarse = 2.0 * gbar * (m + m * c * gbar) ** (big_l - 1) * big_l * b2**2 * x_norm
+    coarse = _product(2.0, gbar, _power(m + m * c * gbar, big_l - 1), big_l, _power(b2, 2),
+                      x_norm)
 
     constants = {"M": m, "B": b2, "C": c, "gamma_bar": gbar, "L": big_l, "x_norm": x_norm,
                  "M_layers": meq, "B_layers": b}

@@ -342,11 +342,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(np.matmul(a.data, b.data), (a, b), "matmul", backward_fn)
 
 
+def _correlate(xd: np.ndarray, kd: np.ndarray):
+    """Same-padded correlation of (N, C_in, H, W) with (C_out, C_in, k, k) as one
+    GEMM; returns the result and its (C_in*k*k, N*H*W) im2col patch matrix."""
+    n, c, h, w = xd.shape
+    k = kd.shape[-1]
+    p = k // 2
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
+    xp[:, :, p : p + h, p : p + w] = xd
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * h * w)
+    out = (kd.reshape(kd.shape[0], -1) @ cols).reshape(kd.shape[0], n, h, w)
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), cols
+
+
 def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     """Stride-1 cross-correlation with same zero padding.
 
     ``x`` is (C_in, H, W) or batched (N, C_in, H, W); ``kernels`` is
     (C_out, C_in, k, k) with odd k. Output has the same spatial extent.
+    Each pass is one GEMM over an im2col patch matrix (Chellapilla et al.
+    2006); the input gradient correlates the output gradient with the
+    flipped, channel-transposed kernels.
     """
     x = Tensor._coerce(x)
     kernels = Tensor._coerce(kernels)
@@ -363,30 +380,15 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
         raise ShapeError(f"conv2d channel mismatch: input {c_in} vs kernels {kernels.shape[1]}")
 
     xd = x.data if batched else x.data[None]
-    n, _, h, w = xd.shape
-    p = k // 2
-    xp = np.zeros((n, c_in, h + 2 * p, w + 2 * p), dtype=np.float64)
-    xp[:, :, p : p + h, p : p + w] = xd
-
-    c_out = kernels.shape[0]
-    out = np.zeros((n, c_out, h, w), dtype=np.float64)
     kd = kernels.data
-    for di in range(k):
-        for dj in range(k):
-            out += np.einsum("oc,nchw->nohw", kd[:, :, di, dj], xp[:, :, di : di + h, dj : dj + w])
+    out, cols = _correlate(xd, kd)
 
     def backward_fn(g):
         gd = g if batched else g[None]
-        dk = np.zeros_like(kd)
-        dxp = np.zeros_like(xp)
-        for di in range(k):
-            for dj in range(k):
-                window = xp[:, :, di : di + h, dj : dj + w]
-                dk[:, :, di, dj] = np.einsum("nohw,nchw->oc", gd, window)
-                dxp[:, :, di : di + h, dj : dj + w] += np.einsum(
-                    "oc,nohw->nchw", kd[:, :, di, dj], gd
-                )
-        dx = dxp[:, :, p : p + h, p : p + w]
+        dk = (gd.transpose(1, 0, 2, 3).reshape(kd.shape[0], -1) @ cols.T).reshape(kd.shape)
+        if not x.requires_grad:
+            return ((kernels, dk),)
+        dx, _ = _correlate(gd, kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
         return ((x, dx if batched else dx[0]), (kernels, dk))
 
     return Tensor._result(out if batched else out[0], (x, kernels), "conv2d", backward_fn)
@@ -590,6 +592,10 @@ def op_gradcheck_cases(rng):
     case("conv2d", lambda: (lambda: conv2d(img, ker).square().sum(), [img, ker]))
     imgs = Tensor(rng.normal(size=(2, 2, 4, 4)), requires_grad=True)
     case("conv2d_batched", lambda: (lambda: conv2d(imgs, ker).square().sum(), [imgs, ker]))
+    ker5 = Tensor(rng.normal(size=(2, 2, 5, 5)), requires_grad=True)
+    case("conv2d_k5", lambda: (lambda: conv2d(img, ker5).square().sum(), [img, ker5]))
+    ker1 = Tensor(rng.normal(size=(3, 2, 1, 1)), requires_grad=True)
+    case("conv2d_batched_k1", lambda: (lambda: conv2d(imgs, ker1).square().sum(), [imgs, ker1]))
 
     r = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
     case("rot90", lambda: (lambda: rot90(r, 1).square().sum(), [r]))

@@ -1,6 +1,7 @@
 """Command-line behavior: schema, overrides, artifacts, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +178,20 @@ def test_divergent_run_exits_nonzero_with_step(tmp_path, capsys):
     assert "diverged at step" in capsys.readouterr().err
     summary = (tmp_path / "run" / "summary.txt").read_text()
     assert "diverged=true" in summary
+
+
+@pytest.mark.parametrize("mode", ["strict", "resilient"])
+def test_overflowing_run_exits_one_and_writes_every_artifact(tmp_path, capsys, mode):
+    config = Path(__file__).resolve().parents[1] / "configs" / "broken_set_resilient.json"
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(config), "--set", f"train.mode={mode}",
+                 "--set", "train.eta_p=1e300", "--set", "train.epochs=3",
+                 "--set", f"out_dir={out}"])
+    assert code == 1
+    assert "training diverged at step 1" in capsys.readouterr().err
+    for name in ARTIFACTS:
+        assert (out / name).exists(), name
+    assert "thm2_coarse=inf" in (out / "summary.txt").read_text()
 
 
 def test_verify_bounds_passes_and_is_deterministic(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ace import _binio
 from ace.groups import C4, Sn, apply, elements
@@ -22,7 +24,7 @@ from ace.layers import (
     load_model,
     spectral_normalize,
 )
-from ace.tensor import Tensor, gradcheck
+from ace.tensor import Tensor, conv2d, gradcheck, rot90, stack, take
 
 
 def _layer_equivariance_gap(layer, z, group):
@@ -50,6 +52,59 @@ def test_pooled_group_conv_equivariant(rng):
     layer = C4GroupConv(Tensor(rng.normal(size=(2, 4, 3, 3, 3))), image_size=6, pool=True)
     z = Tensor(rng.normal(size=(4, 3, 6, 6)))
     assert _layer_equivariance_gap(layer, z, C4()) <= 1e-10
+
+
+def _four_conv_lifting(kernels, z, batched):
+    """The lifting conv as four separate convs, one per kernel rotation."""
+    return stack([conv2d(z, rot90(kernels, r)) for r in range(4)], axis=1 if batched else 0)
+
+
+def _sixteen_conv_group(kernels, z, batched, pool):
+    """The group conv as sixteen block convs: out_r = sum_s conv(z_s, rot_r K[:, s - r])."""
+    axis = 1 if batched else 0
+    blocks = []
+    for r in range(4):
+        terms = [conv2d(take(z, s, axis=axis), rot90(take(kernels, (s - r) % 4, axis=1), r))
+                 for s in range(4)]
+        blocks.append(terms[0] + terms[1] + terms[2] + terms[3])
+    out = stack(blocks, axis=axis)
+    return out.mean(axes=axis) if pool else out
+
+
+def _value_and_grads(forward, kernels, z):
+    kernels.zero_grad()
+    z.zero_grad()
+    out = forward()
+    out.square().sum().backward()
+    return out.data, kernels.grad, z.grad
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["lifting", "group", "group_pooled"]),
+       c_in=st.integers(1, 3), c_out=st.integers(1, 3), k=st.sampled_from([1, 3, 5]),
+       size=st.integers(2, 6), n=st.sampled_from([None, 1, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_filter_bank_matches_sixteen_conv_formulation(kind, c_in, c_out, k, size, n, seed):
+    """One conv over the expanded filter bank equals the per-block convs, values and grads."""
+    rng = np.random.default_rng(seed)
+    lead = (n,) if n else ()
+    batched = n is not None
+    if kind == "lifting":
+        kernels = Tensor(rng.normal(size=(c_out, c_in, k, k)), requires_grad=True)
+        layer = C4LiftingConv(kernels, image_size=size)
+        z = Tensor(rng.normal(size=lead + (c_in, size, size)), requires_grad=True)
+        old = lambda: _four_conv_lifting(kernels, z, batched)  # noqa: E731
+    else:
+        pool = kind == "group_pooled"
+        kernels = Tensor(rng.normal(size=(c_out, 4, c_in, k, k)), requires_grad=True)
+        layer = C4GroupConv(kernels, image_size=size, pool=pool)
+        z = Tensor(rng.normal(size=lead + (4, c_in, size, size)), requires_grad=True)
+        old = lambda: _sixteen_conv_group(kernels, z, batched, pool)  # noqa: E731
+    got = _value_and_grads(lambda: layer.forward(z, batched), kernels, z)
+    want = _value_and_grads(old, kernels, z)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(w))))
 
 
 def test_deepsets_equivariant(rng):

@@ -4,6 +4,8 @@ zero_grad, broadcast rules, error messages)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import correlate2d
 
 from ace.tensor import (
@@ -59,15 +61,24 @@ def test_matmul_values(rng):
     np.testing.assert_allclose(matmul(Tensor(c), Tensor(d)).data, np.einsum("ik,nkj->nij", c, d))
 
 
-def test_conv2d_against_scipy(rng):
-    x = rng.normal(size=(2, 6, 6))
-    k = rng.normal(size=(3, 2, 3, 3))
-    got = conv2d(Tensor(x), Tensor(k)).data
-    want = np.zeros((3, 6, 6))
-    for o in range(3):
-        for c in range(2):
-            want[o] += correlate2d(x[c], k[o, c], mode="same", boundary="fill")
-    np.testing.assert_allclose(got, want, atol=1e-12)
+@settings(max_examples=40, deadline=None)
+@given(c_in=st.integers(1, 3), c_out=st.integers(1, 3), k=st.sampled_from([1, 3, 5]),
+       h=st.integers(1, 7), w=st.integers(1, 7), n=st.sampled_from([None, 1, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_conv2d_against_scipy(c_in, c_out, k, h, w, n, seed):
+    """Random channels, odd kernel sizes, non-square images, with and without a batch."""
+    if h == w:
+        w += 1
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n or 1, c_in, h, w))
+    ker = rng.normal(size=(c_out, c_in, k, k))
+    got = conv2d(Tensor(x if n else x[0]), Tensor(ker)).data
+    want = np.zeros((n or 1, c_out, h, w))
+    for i in range(n or 1):
+        for o in range(c_out):
+            for c in range(c_in):
+                want[i, o] += correlate2d(x[i, c], ker[o, c], mode="same", boundary="fill")
+    np.testing.assert_allclose(got, want if n else want[0], rtol=0, atol=1e-12)
 
 
 def test_conv2d_special_cases(rng):

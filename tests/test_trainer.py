@@ -221,6 +221,49 @@ def test_divergence_guard_stops_and_flags():
     assert run.epochs_done < 50
 
 
+def test_huge_primal_step_diverges_without_raising():
+    """A blown-up model's bound certificates saturate to inf instead of overflowing."""
+    task = small_set_task()
+    run = train_strict(small_set_model(), task, epochs=3, batch_size=len(task.splits["train"]),
+                       eta_p=1e300, seed=0)
+    assert run.diverged
+    assert run.divergence_step == 1
+    assert run.trace[-1].thm2_refined == np.inf
+
+
+def test_interrupted_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "checkpoint.bin"
+    first = train_strict(small_set_model(), small_set_task(), epochs=1, seed=0)
+    save_checkpoint(first, path)
+    before = path.read_bytes()
+
+    class FailsHalfway:
+        """A file whose write stores half of the bytes, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(_binio, "open", lambda *a, **k: FailsHalfway(open(*a, **k)),
+                        raising=False)
+    second = train_strict(small_set_model(), small_set_task(), epochs=2, seed=0)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(second, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert np.array_equal(trace_matrix(load_checkpoint(path)), trace_matrix(first))
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
+
+
 def test_evaluate_uses_best_snapshot_and_projection():
     task = small_set_task()
     run = train_strict(small_set_model(), task, epochs=4, batch_size=16,
