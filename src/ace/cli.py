@@ -46,9 +46,9 @@ from .layers import (
     build_set_model,
     sample_random_model,
 )
-from .metrics import bound_report, thm1_bounds, thm2_bounds
+from .metrics import _thm1, _thm2, bound_report, layer_constants
 from .tasks import Dataset, c4_toy, scalar_toys, set_regression
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 from .trainer import TrainConfig, TrainRun, resume, save_checkpoint, train
 
 __all__ = [
@@ -415,12 +415,14 @@ def read_trace_csv(path):
     return header, rows
 
 
+@no_grad()
 def write_summary(run: TrainRun, dataset: Dataset, path) -> None:
     last = run.trace[-1]
     x_val, _ = dataset.stacked("val")
     x_norm = float(np.max(np.linalg.norm(x_val.data.reshape(x_val.shape[0], -1), axis=1)))
-    t1 = thm1_bounds(run.model, x_norm)
-    t2 = thm2_bounds(run.model, x_norm)
+    constants = layer_constants(run.model)
+    t1 = _thm1(run.model, constants, x_norm)
+    t2 = _thm2(run.model, constants, x_norm)
     pairs = [
         ("mode", run.config.mode),
         ("epochs", run.epochs_done),

@@ -26,15 +26,12 @@ __all__ = [
     "C4",
     "Sn",
     "Group",
-    "elements",
-    "sample",
     "Representation",
     "RotationImageRep",
     "RegularRep",
     "PermutationRep",
     "TrivialRep",
     "apply",
-    "apply_regular",
 ]
 
 ENUMERATION_LIMIT = 6  # S_n enumeration refuses beyond this (factorial growth)
@@ -126,14 +123,6 @@ class Sn(Group):
 
     def sample(self, rng):
         return GroupElement("sn", tuple(int(i) for i in rng.permutation(self.n)))
-
-
-def elements(group: Group):
-    return group.elements()
-
-
-def sample(group: Group, rng) -> GroupElement:
-    return group.sample(rng)
 
 
 # ---------------------------------------------------------------- representations
@@ -236,10 +225,3 @@ class TrivialRep(Representation):
 def apply(g: GroupElement, rep: Representation, z: Tensor) -> Tensor:
     """Apply the representation of g to z (linear, differentiable)."""
     return rep.apply(g, z)
-
-
-def apply_regular(g: GroupElement, z: Tensor) -> Tensor:
-    """Regular C4 action on a (4, C, H, W) feature map (see RegularRep)."""
-    if z.ndim < 4 or z.shape[-4] != 4:
-        raise ShapeError(f"regular action needs a (4, C, H, W) tensor, got {z.shape}")
-    return rot90(roll(z, g.data, axis=-4), g.data)

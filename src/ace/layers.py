@@ -17,8 +17,9 @@ Certified constants:
   stride-1 zero-padded correlation is a sum of k*k shift-then-mix maps
   and each shift is a contraction; this is never larger than the
   Frobenius fallback ||K||_F * k. ``method="exact"`` materializes the
-  whole operator and takes its true sigma_max instead.
-* ``operator_bound`` certifies ||f_neq(x)|| <= B ||x||.
+  whole operator and takes its true sigma_max instead. For a
+  non-equivariant branch it is the product of its matrices' sigma_max,
+  which certifies ||f_neq(x)|| <= B ||x||.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .groups import (
     Sn,
     TrivialRep,
 )
-from .tensor import ShapeError, Tensor, conv2d, matmul, reshape, roll, rot90, stack
+from .tensor import ShapeError, Tensor, conv2d, matmul, no_grad, reshape, roll, rot90, stack
 
 __all__ = [
     "EquivariantLayer",
@@ -47,7 +48,6 @@ __all__ = [
     "HomotopicModel",
     "SpaceMismatchError",
     "lipschitz_bound",
-    "operator_bound",
     "spectral_normalize",
     "project_equivariant",
     "model_manifest",
@@ -430,14 +430,10 @@ def lipschitz_bound(layer, method: str = "fast") -> float:
         flat_in = int(np.prod(layer.in_rep.space_shape))
         if flat_in > EXACT_DIM_LIMIT:
             raise ValueError(f"exact certificate limited to dim {EXACT_DIM_LIMIT}, got {flat_in}")
-        matrix = _materialize_operator(layer.forward, layer.in_rep.space_shape)
+        with no_grad():
+            matrix = _materialize_operator(layer.forward, layer.in_rep.space_shape)
         return _sigma_max(matrix)
     raise ValueError(f"unknown method {method!r}")
-
-
-def operator_bound(layer: NonEquivariantLayer) -> float:
-    """Certified B with ||f_neq(x)|| <= B ||x|| (product of sigma_max)."""
-    return lipschitz_bound(layer)
 
 
 def spectral_normalize(layer: NonEquivariantLayer, n_iters: int = 1) -> NonEquivariantLayer:

@@ -24,6 +24,14 @@ factor and the certificate would be wrong for contractive branches.
 The growth constant is C = max(B2/M, 1) in the refined form and
 M*C = max(B2, M) in the coarse one, which keeps refined <= coarse an
 algebraic identity instead of a hope.
+
+The equivariance defect has one implementation, ``equivariance_gaps``:
+the per-element, per-sample norms ||rho_out(g) f(x_n) - f(rho_in(g) x_n)||
+from one forward over the whole orbit, every rho_in(g) x stacked along
+the batch axis (f(x) is the identity's block); it builds no autodiff
+graph. ``equivariance_error`` reduces those gaps. A branch whose weights
+are no longer finite gets the constant inf, so its certificates
+saturate to inf instead of raising.
 """
 
 from __future__ import annotations
@@ -32,15 +40,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import Group, GroupElement, elements, sample
-from .layers import HomotopicModel, lipschitz_bound, operator_bound, project_equivariant
-from .tensor import Tensor
+from .groups import Group
+from .layers import HomotopicModel, lipschitz_bound, project_equivariant
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "BoundCertificate",
     "EquivarianceReport",
     "layer_constants",
     "approximation_error",
+    "equivariance_gaps",
     "equivariance_error",
     "thm1_bounds",
     "thm2_bounds",
@@ -80,17 +89,24 @@ class EquivarianceReport:
 # ---------------------------------------------------------------- constants
 
 
+def _branch_bound(branch, method: str = "fast") -> float:
+    if not all(np.all(np.isfinite(w.data)) for _, w in branch.weight_tensors()):
+        return float("inf")
+    return lipschitz_bound(branch, method=method)
+
+
 def layer_constants(model: HomotopicModel, method: str = "fast"):
-    """Certified (Meq_i, B_i, Brho_i) triples for every layer."""
-    meq = [lipschitz_bound(layer.eq, method=method) for layer in model.layers]
-    b = [operator_bound(layer.neq) for layer in model.layers]
+    """Certified (Meq_i, B_i, Brho_i) triples for every layer (inf for a
+    branch with non-finite weights)."""
+    meq = [_branch_bound(layer.eq, method=method) for layer in model.layers]
+    b = [_branch_bound(layer.neq) for layer in model.layers]
     brho = [max(layer.eq.in_rep.operator_norm_bound(), layer.eq.out_rep.operator_norm_bound())
             for layer in model.layers]
     return meq, b, brho
 
 
-def _folded(model: HomotopicModel, method: str):
-    meq, b, brho = layer_constants(model, method=method)
+def _fold(model: HomotopicModel, constants):
+    meq, b, brho = constants
     gammas = np.abs(model.gamma_values())
     m = max(max(meq), max(b))
     return meq, b, gammas, m, max(b), max(max(b), max(brho))
@@ -106,10 +122,25 @@ def approximation_error(model: HomotopicModel, x: Tensor) -> float:
     return float(np.linalg.norm(full - base))
 
 
-def _element_error(model: HomotopicModel, x: Tensor, g: GroupElement) -> float:
-    moved = model.forward(model.in_rep.apply(g, x)).data
-    fixed = model.out_rep.apply(g, model.forward(x)).data
-    return float(np.linalg.norm(fixed - moved))
+@no_grad()
+def equivariance_gaps(model: HomotopicModel, x: Tensor, gs=None) -> np.ndarray:
+    """(len(gs), N) defects ||rho_out(g) f(x_n) - f(rho_in(g) x_n)||.
+
+    ``gs`` defaults to every group element; an unbatched x counts as
+    N = 1. One forward covers the orbit stacked along the batch axis,
+    with the identity image prepended when ``gs`` lacks it; f(x) is read
+    from that block, so the identity's row is exactly 0.
+    """
+    gs = model.in_rep.group.elements() if gs is None else list(gs)
+    identity = model.in_rep.group.identity()
+    orbit = gs if identity in gs else [identity] + gs
+    xb = Tensor(x.data[None]) if x.shape == model.in_rep.space_shape else x
+    out = model.forward(Tensor(np.concatenate([model.in_rep.apply(g, xb).data for g in orbit])))
+    blocks = out.data.reshape((len(orbit), xb.shape[0]) + out.shape[1:])
+    base = Tensor(blocks[orbit.index(identity)])
+    fixed = np.stack([model.out_rep.apply(g, base).data for g in gs])
+    gaps = fixed - blocks[len(orbit) - len(gs):]
+    return np.linalg.norm(gaps.reshape(len(gs), xb.shape[0], -1), axis=2)
 
 
 def equivariance_error(model: HomotopicModel, x: Tensor, group: Group = None,
@@ -120,26 +151,27 @@ def equivariance_error(model: HomotopicModel, x: Tensor, group: Group = None,
     Exact mode enumerates the whole group (refused for groups too large
     to enumerate) and reports the maximum; mc mode draws ``n_samples``
     elements uniformly, with or without replacement, and reports their
-    mean. Both record every per-element error.
+    mean. Both record every per-element error (the worst sample of a
+    batched x).
     """
     group = group if group is not None else model.in_rep.group
     if mode == "exact":
-        gs = elements(group)
+        gs = group.elements()
     elif mode == "mc":
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         rng = rng if rng is not None else np.random.default_rng(0)
         if replace:
-            gs = [sample(group, rng) for _ in range(n_samples)]
+            gs = [group.sample(rng) for _ in range(n_samples)]
         else:
-            pool = elements(group)
+            pool = group.elements()
             if n_samples > len(pool):
                 raise ValueError(f"cannot draw {n_samples} distinct elements from {len(pool)}")
             idx = rng.choice(len(pool), size=n_samples, replace=False)
             gs = [pool[i] for i in idx]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    errors = {g: _element_error(model, x, g) for g in gs}
+    errors = dict(zip(gs, equivariance_gaps(model, x, gs).max(axis=1).tolist()))
     values = list(errors.values())
     return EquivarianceReport(
         exact_error=max(values) if mode == "exact" else None,
@@ -173,7 +205,11 @@ def thm1_bounds(model: HomotopicModel, x_norm: float, method: str = "fast"):
     coarse  = [sum_k (1+gbar)^k] * gbar * B * M^(L-1) * ||x||
     refined = [sum_k |g_{k+1}| (1 + mean_{j<=k}|g_j|)^k] * B * M^(L-1) * ||x||
     """
-    meq, b, gammas, m, b1, _ = _folded(model, method)
+    return _thm1(model, layer_constants(model, method=method), x_norm)
+
+
+def _thm1(model: HomotopicModel, constants, x_norm: float):
+    meq, b, gammas, m, b1, _ = _fold(model, constants)
     big_l = len(gammas)
     gbar = float(np.max(gammas))
     scale = (b1, _power(m, big_l - 1), x_norm)
@@ -205,10 +241,15 @@ def thm2_bounds(model: HomotopicModel, x_norm: float, method: str = "fast"):
     with C = max(B2/M, 1); for L = 1 the growth factor is the empty
     product, 1.
     """
-    meq, b, gammas, m, _, b2 = _folded(model, method)
+    return _thm2(model, layer_constants(model, method=method), x_norm)
+
+
+def _thm2(model: HomotopicModel, constants, x_norm: float):
+    meq, b, gammas, m, _, b2 = _fold(model, constants)
     big_l = len(gammas)
     gbar = float(np.max(gammas))
-    c = max(b2 / m, 1.0) if m > 0 else 1.0
+    # an inf M (non-finite weights) leaves B2/M undefined; the forms saturate anyway
+    c = max(b2 / m, 1.0) if 0.0 < m < np.inf else 1.0
 
     refined_sum = 0.0
     for k in range(big_l):
@@ -243,7 +284,11 @@ def recursion_bounds(model: HomotopicModel, x: Tensor, method: str = "fast"):
     using the actual activation norms ||z_{i-1}|| of the forward pass on
     x. Tighter than the closed forms, looser than measurement.
     """
-    meq, b, brho = layer_constants(model, method=method)
+    return _recursions(model, x, layer_constants(model, method=method))
+
+
+def _recursions(model: HomotopicModel, x: Tensor, constants):
+    meq, b, brho = constants
     gammas = np.abs(model.gamma_values())
     zs = model.forward_with_intermediates(x)
     norms = [float(np.linalg.norm(z.data)) for z in zs[:-1]]
@@ -262,21 +307,23 @@ def recursion_bounds(model: HomotopicModel, x: Tensor, method: str = "fast"):
     }
 
 
+@no_grad()
 def bound_report(model: HomotopicModel, x: Tensor, method: str = "fast") -> dict:
     """Measured errors and all six certificates for one input.
 
     Keys: approximation_error, equivariance_error, delta_recursion,
     epsilon_recursion, thm1_refined, thm1_coarse, thm2_refined,
     thm2_coarse. Values are plain floats, ordered within each family.
+    The layer constants are computed once and shared by all six.
     """
     x_norm = float(np.linalg.norm(x.data))
-    t1 = thm1_bounds(model, x_norm, method=method)
-    t2 = thm2_bounds(model, x_norm, method=method)
-    rec = recursion_bounds(model, x, method=method)
-    report = equivariance_error(model, x, mode="exact")
+    constants = layer_constants(model, method=method)
+    t1 = _thm1(model, constants, x_norm)
+    t2 = _thm2(model, constants, x_norm)
+    rec = _recursions(model, x, constants)
     return {
         "approximation_error": approximation_error(model, x),
-        "equivariance_error": report.exact_error,
+        "equivariance_error": equivariance_error(model, x, mode="exact").exact_error,
         "delta_recursion": rec["delta"].value,
         "epsilon_recursion": rec["epsilon"].value,
         "thm1_refined": t1["refined"].value,

@@ -14,10 +14,14 @@ Conventions fixed here and relied on elsewhere:
 * ``relu`` has derivative 0 at exactly 0, ``abs`` uses ``sign`` with
   ``sign(0) = 0``,
 * repeated ``backward()`` calls accumulate into ``grad``; ``zero_grad``
-  resets.
+  resets,
+* inside ``no_grad()`` no graph is built: every op result has
+  ``requires_grad=False`` and no backward rule, whatever its parents.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -35,8 +39,11 @@ __all__ = [
     "finite_difference_gradients",
     "gradcheck",
     "zero_grad",
+    "no_grad",
     "op_gradcheck_cases",
 ]
+
+_GRAD_ENABLED = True
 
 
 class ShapeError(ValueError):
@@ -74,7 +81,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = parents
             out._backward = backward_fn
@@ -500,6 +507,17 @@ def l2_norm(x: Tensor, axes=None) -> Tensor:
 def zero_grad(params) -> None:
     for p in params:
         p.zero_grad()
+
+
+@contextmanager
+def no_grad():
+    """Evaluate without building a graph (also usable as a decorator)."""
+    global _GRAD_ENABLED
+    previous, _GRAD_ENABLED = _GRAD_ENABLED, False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
 
 
 # -- gradient checking ------------------------------------------------------------

@@ -25,7 +25,11 @@ dual state, trace, RNG state, best snapshot), so a resumed run replays
 the uninterrupted one bit for bit.
 
 The logged bound certificates use the largest validation-input norm, so
-one number certifies every validation sample.
+one number certifies every validation sample. A row runs under
+``no_grad`` (it builds no autodiff graph), computes the layer constants
+once for both certificates, and measures ``eq_error_exact`` as the
+largest ``metrics.equivariance_gaps`` entry: one forward over the whole
+group orbit of the validation split stacked along the batch axis.
 
 Divergence guard: a non-finite batch loss, or one beyond 1e12, stops
 the run and records the offending step; callers decide whether that is
@@ -49,7 +53,6 @@ from .constraints import (
     lagrangian_strict,
     primal_step,
 )
-from .groups import elements
 from .layers import (
     HomotopicModel,
     model_from_manifest,
@@ -57,9 +60,9 @@ from .layers import (
     project_equivariant,
     spectral_normalize,
 )
-from .metrics import thm1_bounds, thm2_bounds
+from .metrics import _thm1, _thm2, equivariance_gaps, layer_constants
 from .tasks import Dataset
-from .tensor import Tensor, zero_grad
+from .tensor import Tensor, no_grad, zero_grad
 
 __all__ = [
     "TrainConfig",
@@ -169,6 +172,7 @@ class TrainRun:
         meta, arrays = self.best_manifest
         return model_from_manifest(meta, arrays)
 
+    @no_grad()
     def evaluate(self, dataset: Dataset, split: str = "test", projected: bool = False,
                  use_best: bool = True) -> float:
         model = self.best_model() if use_best else self.model
@@ -189,18 +193,7 @@ def _mse_value(model: HomotopicModel, x: Tensor, y: Tensor) -> float:
     return float(np.mean((model.forward(x).data - y.data) ** 2))
 
 
-def _worst_sample_eq_error(model: HomotopicModel, x: Tensor) -> float:
-    """max over group elements and samples of the per-sample defect norm."""
-    base = model.forward(x)
-    worst = 0.0
-    for g in elements(model.in_rep.group):
-        moved = model.forward(model.in_rep.apply(g, x)).data
-        fixed = model.out_rep.apply(g, base).data
-        gaps = np.linalg.norm((fixed - moved).reshape(x.shape[0], -1), axis=1)
-        worst = max(worst, float(np.max(gaps)))
-    return worst
-
-
+@no_grad()
 def _log_row(run: TrainRun, dataset: Dataset) -> None:
     model = run.model
     x_train, y_train = dataset.stacked("train")
@@ -218,17 +211,18 @@ def _log_row(run: TrainRun, dataset: Dataset) -> None:
         us = np.zeros(n_layers)
         sums = np.zeros(n_layers)
         n_dual = 0
+    constants = layer_constants(model)
     run.trace.append(TraceRow(
         step=run.step,
         loss_train=_mse_value(model, x_train, y_train),
         loss_val_raw=_mse_value(model, x_val, y_val),
         loss_val_proj=_mse_value(projected, x_val, y_val),
-        eq_error_exact=_worst_sample_eq_error(model, x_val),
+        eq_error_exact=float(equivariance_gaps(model, x_val).max()),
         gammas=model.gamma_values(),
         lams=lams,
         us=us,
-        thm1_refined=thm1_bounds(model, x_norm)["refined"].value,
-        thm2_refined=thm2_bounds(model, x_norm)["refined"].value,
+        thm1_refined=_thm1(model, constants, x_norm)["refined"].value,
+        thm2_refined=_thm2(model, constants, x_norm)["refined"].value,
         gamma_sums=sums,
         n_dual_steps=n_dual,
     ))
@@ -241,7 +235,7 @@ def _maybe_select_checkpoint(run: TrainRun, dataset: Dataset) -> None:
         if run.config.mode == "strict":
             x_val, _ = dataset.stacked("val")
             probe = Tensor(x_val.data[:1])
-            gap = _worst_sample_eq_error(project_equivariant(run.model), probe)
+            gap = float(equivariance_gaps(project_equivariant(run.model), probe).max())
             if gap > 1e-10:
                 raise AssertionError(f"projected checkpoint not equivariant: {gap}")
         run.best_score = score
@@ -402,16 +396,18 @@ def _trace_to_array(trace, n_layers: int) -> np.ndarray:
         for name in _ROW_VECTORS:
             flat.extend(np.asarray(getattr(row, name), dtype=np.float64))
         rows.append(flat)
-    return np.asarray(rows, dtype=np.float64).reshape(len(rows), 8 + 4 * n_layers)
+    width = len(_ROW_SCALARS) + len(_ROW_VECTORS) * n_layers
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
 
 
 def _trace_from_array(arr: np.ndarray, n_layers: int):
     trace = []
+    n_scalars = len(_ROW_SCALARS)
     for flat in arr:
-        scalars = dict(zip(_ROW_SCALARS, flat[:8]))
+        scalars = dict(zip(_ROW_SCALARS, flat[:n_scalars]))
         vectors = {}
         for j, name in enumerate(_ROW_VECTORS):
-            start = 8 + j * n_layers
+            start = n_scalars + j * n_layers
             vectors[name] = flat[start : start + n_layers].copy()
         trace.append(TraceRow(
             step=int(scalars["step"]),

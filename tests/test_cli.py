@@ -194,6 +194,20 @@ def test_overflowing_run_exits_one_and_writes_every_artifact(tmp_path, capsys, m
     assert "thm2_coarse=inf" in (out / "summary.txt").read_text()
 
 
+def test_penalty_run_with_non_finite_weights_exits_one_and_writes_every_artifact(tmp_path, capsys):
+    """Blown-up weights give inf layer constants in the summary, not a ValueError."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "broken_set_resilient.json"
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(config), "--set", "train.mode=penalty",
+                 "--set", "train.eta_p=1e308", "--set", "train.epochs=3",
+                 "--set", f"out_dir={out}"])
+    assert code == 1
+    assert "training diverged at step 1" in capsys.readouterr().err
+    for name in ARTIFACTS:
+        assert (out / name).exists(), name
+    assert "thm2_refined=inf" in (out / "summary.txt").read_text()
+
+
 def test_verify_bounds_passes_and_is_deterministic(tmp_path, capsys):
     cfg = tmp_path / "bounds.json"
     cfg.write_text(json.dumps({"family": "mixed", "n_models": 6, "seed": 3,

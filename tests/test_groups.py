@@ -13,9 +13,6 @@ from ace.groups import (
     Sn,
     TrivialRep,
     apply,
-    apply_regular,
-    elements,
-    sample,
 )
 from ace.tensor import ShapeError, Tensor, l2_norm
 
@@ -42,12 +39,12 @@ def check_axioms(group):
 
 def test_c4_axioms():
     g = C4()
-    assert len(elements(g)) == 4
+    assert len(g.elements()) == 4
     check_axioms(g)
 
 
 def test_sn_axioms():
-    assert len(elements(Sn(3))) == 6
+    assert len(Sn(3).elements()) == 6
     check_axioms(Sn(3))
     check_axioms(Sn(4))
 
@@ -56,7 +53,7 @@ def test_sn_enumeration_refused_beyond_limit():
     with pytest.raises(ValueError, match="sample"):
         Sn(7).elements()
     # sampling still fine
-    assert len(sample(Sn(7), np.random.default_rng(0)).data) == 7
+    assert len(Sn(7).sample(np.random.default_rng(0)).data) == 7
 
 
 def test_spec_row_permutation_example():
@@ -121,11 +118,12 @@ def test_linearity_and_isometry(rng):
 
 def test_regular_action_composition_16_pairs(rng):
     z = Tensor(rng.normal(size=(4, 2, 6, 6)))
-    c4 = C4()
+    rep = RegularRep(2, 6, 6)
+    c4 = rep.group
     for g1 in c4.elements():
         for g2 in c4.elements():
-            combined = apply_regular(c4.compose(g1, g2), z)
-            sequential = apply_regular(g1, apply_regular(g2, z))
+            combined = rep.apply(c4.compose(g1, g2), z)
+            sequential = rep.apply(g1, rep.apply(g2, z))
             np.testing.assert_array_equal(combined.data, sequential.data)
 
 
@@ -145,7 +143,7 @@ def test_sample_uniformity():
     counts = np.zeros(4)
     c4 = C4()
     for _ in range(draws):
-        counts[sample(c4, rng).data] += 1
+        counts[c4.sample(rng).data] += 1
     p = 0.25
     sigma = np.sqrt(draws * p * (1 - p))
     assert np.all(np.abs(counts - draws * p) <= 3 * sigma)
@@ -158,4 +156,4 @@ def test_action_shape_errors(rng):
     with pytest.raises(ShapeError):
         apply(GroupElement("c4", 1), rep, Tensor(rng.normal(size=(2, 4, 4))))
     with pytest.raises(ShapeError):
-        apply_regular(GroupElement("c4", 1), Tensor(rng.normal(size=(3, 1, 4, 4))))
+        RegularRep(1, 4, 4).apply(GroupElement("c4", 1), Tensor(rng.normal(size=(3, 1, 4, 4))))

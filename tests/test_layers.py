@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ace import _binio
-from ace.groups import C4, Sn, apply, elements
+from ace.groups import C4, Sn, apply
 from ace.layers import (
     C4GroupConv,
     C4LiftingConv,
@@ -17,7 +17,6 @@ from ace.layers import (
     build_scalar_toy_model,
     build_set_model,
     lipschitz_bound,
-    operator_bound,
     project_equivariant,
     sample_random_model,
     save_model,
@@ -29,7 +28,7 @@ from ace.tensor import Tensor, conv2d, gradcheck, rot90, stack, take
 
 def _layer_equivariance_gap(layer, z, group):
     gaps = []
-    for g in elements(group):
+    for g in group.elements():
         lhs = layer.forward(apply(g, layer.in_rep, z), batched=False)
         rhs = apply(g, layer.out_rep, layer.forward(z, batched=False))
         gaps.append(np.max(np.abs(lhs.data - rhs.data)))
@@ -118,7 +117,7 @@ def test_gamma_zero_model_equivariant_end_to_end(rng):
     model = build_c4_model(image_size=6, hidden=2, n_layers=3, rng=rng)
     model.set_gamma_values([0.0, 0.0, 0.0])
     x = Tensor(rng.normal(size=(1, 6, 6)))
-    for g in elements(C4()):
+    for g in C4().elements():
         lhs = model.forward(apply(g, model.in_rep, x))
         rhs = apply(g, model.out_rep, model.forward(x))
         assert np.max(np.abs(lhs.data - rhs.data)) <= 1e-10
@@ -126,7 +125,7 @@ def test_gamma_zero_model_equivariant_end_to_end(rng):
     set_model = build_set_model(n_points=4, d=3, hidden=5, n_layers=2, rng=rng)
     set_model.set_gamma_values([0.0, 0.0])
     xs = Tensor(rng.normal(size=(4, 3)))
-    for g in elements(Sn(4)):
+    for g in Sn(4).elements():
         lhs = set_model.forward(apply(g, set_model.in_rep, xs))
         rhs = apply(g, set_model.out_rep, set_model.forward(xs))
         assert np.max(np.abs(lhs.data - rhs.data)) <= 1e-10
@@ -190,7 +189,7 @@ def test_project_equivariant_zeroes_gamma_and_shares_weights(rng):
     assert np.max(np.abs(proj.gamma_values())) == 0.0
     assert np.allclose(model.gamma_values(), [0.5, 0.5])
     x = Tensor(rng.normal(size=(3, 2)))
-    for g in elements(Sn(3)):
+    for g in Sn(3).elements():
         lhs = proj.forward(apply(g, proj.in_rep, x))
         rhs = apply(g, proj.out_rep, proj.forward(x))
         assert np.max(np.abs(lhs.data - rhs.data)) <= 1e-10
@@ -232,7 +231,7 @@ def test_certified_bounds_dominate_probes(rng):
 
     mlp = NonEquivariantLayer([Tensor(rng.normal(size=(6, 5))), Tensor(rng.normal(size=(5, 6)))],
                               (3, 2), (3, 2))
-    assert _probe_ratio(mlp.forward, (3, 2), rng) <= operator_bound(mlp) + 1e-12
+    assert _probe_ratio(mlp.forward, (3, 2), rng) <= lipschitz_bound(mlp) + 1e-12
 
     conv = C4LiftingConv(Tensor(rng.normal(size=(2, 1, 3, 3))), image_size=5)
     fast = lipschitz_bound(conv, method="fast")
@@ -281,7 +280,7 @@ def test_spectral_normalize_bounds_whole_branch(rng):
     spectral_normalize(layer, n_iters=50)
     for m in layer.matrices:
         assert np.linalg.svd(m.data, compute_uv=False)[0] <= 1.0 + 1e-3
-    assert operator_bound(layer) <= (1.0 + 1e-3) ** 2
+    assert lipschitz_bound(layer) <= (1.0 + 1e-3) ** 2
 
 
 def test_zero_matrix_spectral_normalize_is_noop():

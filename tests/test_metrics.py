@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ace.groups import C4, Sn
 from ace.layers import (
+    C4GroupConv,
+    C4LiftingConv,
     DeepSetsLinear,
     HomotopicLayer,
     HomotopicModel,
@@ -15,6 +19,7 @@ from ace.metrics import (
     approximation_error,
     bound_report,
     equivariance_error,
+    equivariance_gaps,
     layer_constants,
     recursion_bounds,
     thm1_bounds,
@@ -83,6 +88,57 @@ def test_identity_element_contributes_zero(rng):
     identity = Sn(3).identity()
     assert report.per_element[identity] <= 1e-14
     assert report.mc_error <= report.exact_error
+
+
+def _one_layer_c4_model(kind, rng, size):
+    if kind == "lifting":
+        eq = C4LiftingConv(Tensor(rng.normal(size=(2, 1, 3, 3))), image_size=size)
+    else:
+        eq = C4GroupConv(Tensor(rng.normal(size=(2, 4, 2, 3, 3))), image_size=size,
+                         pool=kind == "group_pooled")
+    fan_in = int(np.prod(eq.in_rep.space_shape))
+    neq = NonEquivariantLayer(
+        [Tensor(rng.normal(size=(fan_in, int(np.prod(eq.out_rep.space_shape)))) / np.sqrt(fan_in))],
+        eq.in_rep.space_shape, eq.out_rep.space_shape)
+    return HomotopicModel([HomotopicLayer(eq, neq, gamma=0.7)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["lifting", "group", "group_pooled", "c4_chain", "set"]),
+       n=st.sampled_from([None, 1, 3]), size=st.integers(3, 5),
+       without_identity=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_equivariance_gaps_match_the_per_element_loop(kind, n, size, without_identity, seed):
+    """One orbit forward gives the per-element, per-sample defects of one forward each."""
+    rng = np.random.default_rng(seed)
+    if kind == "set":
+        model = build_set_model(n_points=size - 1, d=2, hidden=3, n_layers=2, rng=rng,
+                                gamma_init=0.7)
+    elif kind == "c4_chain":
+        model = build_c4_model(image_size=size, hidden=2, n_layers=3, rng=rng, gamma_init=0.7)
+    else:
+        model = _one_layer_c4_model(kind, rng, size)
+    space = model.in_rep.space_shape
+    x = Tensor(rng.normal(size=space if n is None else (n,) + space))
+    group = model.in_rep.group
+    identity = group.identity()
+    gs = group.elements()
+    if without_identity:
+        gs = [gs[i] for i in rng.permutation(len(gs)) if gs[i] != identity]
+
+    gaps = equivariance_gaps(model, x, gs)
+
+    samples = 1 if n is None else n
+    base = model.forward(x)
+    want = np.array([
+        np.linalg.norm((model.out_rep.apply(g, base).data
+                        - model.forward(model.in_rep.apply(g, x)).data).reshape(samples, -1), axis=1)
+        for g in gs
+    ])
+    assert gaps.shape == (len(gs), samples)
+    scale = max(np.max(want), np.max(np.abs(base.data)), 1e-300)
+    assert np.max(np.abs(gaps - want)) <= 1e-12 * scale
+    if not without_identity:
+        assert np.all(gaps[gs.index(identity)] == 0.0)
 
 
 def test_equivariance_error_exact_refuses_huge_group(rng):

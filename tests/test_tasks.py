@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ace import _binio
-from ace.groups import C4, GroupElement, Sn, elements, sample
+from ace.groups import C4, GroupElement, Sn
 from ace.tasks import (
     Dataset,
     SymmetryBreakSpec,
@@ -72,7 +72,7 @@ def test_set_regression_epsilon_zero_is_permutation_equivariant(rng):
     for i in range(ds.n_samples):
         x, y = ds.inputs[i], ds.targets[i]
         for _ in range(20):
-            perm = np.asarray(sample(Sn(4), rng).data)
+            perm = np.asarray(Sn(4).sample(rng).data)
             target_map = set_target_map(ds)
             np.testing.assert_allclose(target_map(x[perm]), y[perm], atol=1e-12)
 
@@ -82,7 +82,7 @@ def test_set_regression_defect_monotone_in_epsilon(rng):
                 for eps in (0.0, 0.25, 0.5)}
     # identical inputs across epsilon values
     np.testing.assert_array_equal(datasets[0.0].inputs, datasets[0.5].inputs)
-    perms = [np.asarray(sample(Sn(4), rng).data) for _ in range(10)]
+    perms = [np.asarray(Sn(4).sample(rng).data) for _ in range(10)]
     defects = []
     for eps, ds in datasets.items():
         target_map = set_target_map(ds)

@@ -16,6 +16,7 @@ from ace.tensor import (
     gradcheck,
     l2_norm,
     matmul,
+    no_grad,
     reshape,
     roll,
     rot90,
@@ -238,3 +239,34 @@ def test_shape_errors_name_shapes():
         Tensor(np.ones(3)).sum(axes=5)
     with pytest.raises(ShapeError):
         rot90(Tensor(np.ones((2, 3))), 1)
+
+
+# ---------------------------------------------------------------- no_grad
+
+
+def test_no_grad_results_have_no_graph(rng):
+    a, b = leaf(rng, 3, 4), leaf(rng, 3, 4)
+    m = leaf(rng, 4, 2)
+    img, ker = leaf(rng, 2, 5, 5), leaf(rng, 3, 2, 3, 3)
+    with no_grad():
+        results = [a + b, a - b, a * b, -a, a @ m, a.relu(), a.abs(), a.square(), a.sum(),
+                   a.mean(axes=0), l2_norm(a), conv2d(img, ker), rot90(img, 1),
+                   roll(img, 1, axis=0), take(img, 1, axis=0), stack([a, b]),
+                   reshape(a, (4, 3))]
+    for out in results:
+        assert not out.requires_grad
+        assert out._backward is None and out._parents == ()
+    assert (a * b).requires_grad
+
+
+def test_no_grad_restores_the_flag_after_an_exception(rng):
+    a = leaf(rng, 2)
+    with pytest.raises(RuntimeError, match="inside"):
+        with no_grad():
+            raise RuntimeError("inside")
+    assert (a + a).requires_grad
+    with no_grad():
+        with no_grad():
+            pass
+        assert not (a + a).requires_grad
+    assert (a + a).requires_grad

@@ -4,10 +4,21 @@ import numpy as np
 import pytest
 
 from ace import _binio
-from ace.layers import build_scalar_toy_model, build_set_model, model_manifest
-from ace.tasks import scalar_toys, set_regression
+from ace.constraints import DualState
+from ace.layers import (
+    build_c4_model,
+    build_scalar_toy_model,
+    build_set_model,
+    model_manifest,
+    project_equivariant,
+)
+from ace.metrics import thm1_bounds, thm2_bounds
+from ace.tasks import c4_toy, scalar_toys, set_regression
 from ace.trainer import (
     TrainConfig,
+    TrainRun,
+    _log_row,
+    _maybe_select_checkpoint,
     load_checkpoint,
     resume,
     save_checkpoint,
@@ -229,6 +240,72 @@ def test_huge_primal_step_diverges_without_raising():
     assert run.diverged
     assert run.divergence_step == 1
     assert run.trace[-1].thm2_refined == np.inf
+
+
+def test_penalty_step_to_non_finite_weights_diverges_without_raising():
+    """The row logged after the blow-up certifies inf instead of raising on the weights."""
+    task = small_set_task()
+    run = train_penalty(small_set_model(), task, epochs=3, batch_size=len(task.splits["train"]),
+                        eta_p=1e308, seed=0)
+    assert run.diverged
+    assert run.divergence_step == 1
+    assert run.trace[-1].step == 1
+    assert run.trace[-1].thm1_refined == np.inf
+
+
+def _per_element_row(model, dataset):
+    """A trace row's measured values, one forward per group element."""
+    x_train, y_train = dataset.stacked("train")
+    x_val, y_val = dataset.stacked("val")
+    n = x_val.shape[0]
+    base = model.forward(x_val)
+    worst = 0.0
+    for g in model.in_rep.group.elements():
+        moved = model.forward(model.in_rep.apply(g, x_val)).data
+        fixed = model.out_rep.apply(g, base).data
+        worst = max(worst, float(np.max(np.linalg.norm((fixed - moved).reshape(n, -1), axis=1))))
+    x_norm = float(np.max(np.linalg.norm(x_val.data.reshape(n, -1), axis=1)))
+    return {
+        "loss_train": float(np.mean((model.forward(x_train).data - y_train.data) ** 2)),
+        "loss_val_raw": float(np.mean((base.data - y_val.data) ** 2)),
+        "loss_val_proj": float(np.mean((project_equivariant(model).forward(x_val).data
+                                        - y_val.data) ** 2)),
+        "eq_error_exact": worst,
+        "thm1_refined": thm1_bounds(model, x_norm)["refined"].value,
+        "thm2_refined": thm2_bounds(model, x_norm)["refined"].value,
+    }
+
+
+@pytest.mark.parametrize("family", ["set", "c4"])
+def test_logged_row_matches_per_element_formulation(family):
+    if family == "set":
+        task, model = small_set_task(epsilon=0.5), small_set_model()
+    else:
+        task = c4_toy(target="rectangle", n=40, image_size=8, seed=0)
+        model = build_c4_model(image_size=8, hidden=2, n_layers=2,
+                               rng=np.random.default_rng(0), gamma_init=0.3)
+    run = train_resilient(model, task, epochs=2, batch_size=16, seed=0)
+    row = run.trace[-1]
+    for name, want in _per_element_row(run.model, task).items():
+        assert getattr(row, name) == pytest.approx(want, rel=1e-12), name
+
+
+def test_trace_row_leaves_the_next_step_gradients_unchanged():
+    task = small_set_task(epsilon=0.5)
+    x, y = task.stacked("train")
+    grads = []
+    for log_first in (False, True):
+        model = small_set_model()
+        if log_first:
+            run = TrainRun(model=model, state=DualState.fresh(model.n_layers, "strict"),
+                           config=TrainConfig())
+            _log_row(run, task)
+            _maybe_select_checkpoint(run, task)
+            assert all(p.grad is None for p in model.parameters())
+        (model.forward(x) - y).square().mean().backward()
+        grads.append([p.grad for p in model.parameters()])
+    for without, with_row in zip(*grads):
+        np.testing.assert_array_equal(without, with_row)
 
 
 def test_interrupted_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
